@@ -86,8 +86,8 @@ def atomic_write_json(path: str | Path, payload: dict) -> None:
     The rename makes the update atomic (readers see old or new, never
     torn); the fsyncs make it durable (a machine crash after return
     cannot roll it back).  Used for the manifest and shard result
-    documents — the rare, high-value writes; per-location checkpoints
-    skip the fsyncs (see :mod:`repro.resilience.checkpoint`).
+    documents — the rare, high-value writes; per-location checkpoint
+    appends skip the fsyncs (see :mod:`repro.resilience.checkpoint`).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -12,10 +12,11 @@ disk so interrupted surveys resume for free.  Persistence is an
 **append-only JSONL journal**: each miss appends one record (O(1) I/O,
 where the previous full-file rewrite made a survey's cache writes
 O(n²)), and :meth:`~CachingChatClient.close` compacts the journal
-atomically (temp file + rename, the same idiom as
-:class:`~repro.resilience.checkpoint.SurveyCheckpoint`).  Legacy
-single-JSON-map cache files load transparently and are migrated to
-JSONL on the next compaction.
+atomically (temp file + rename).
+:class:`~repro.resilience.checkpoint.SurveyCheckpoint` journals
+per-location survey progress the same way.  Legacy single-JSON-map
+cache files load transparently and are migrated to JSONL on the next
+compaction.
 """
 
 from __future__ import annotations

@@ -32,13 +32,13 @@ Serial execution is what makes three guarantees cheap:
 **Billing — reserve, run, settle, exactly once.**  At dispatch the
 scheduler reserves the spec's worst-case imagery estimate against the
 tenant's ledger; at the terminal transition it settles the *canonical*
-fee — rebuilt from the job's durable per-location checkpoint by
-:func:`~repro.service.store.canonical_fees_usd` — in the **same**
-fsynced manifest write as the terminal state.  A SIGKILL therefore
-leaves either a terminal job with its fee settled, or a non-terminal
-job with nothing settled; recovery re-queues (or fails-clean and
-salvage-settles) the latter, and terminal records are frozen, so no
-tenant is ever billed twice for a location.
+fee — rebuilt from the job's per-location checkpoint, fsynced just
+before, by :func:`~repro.service.store.canonical_fees_usd` — in the
+**same** fsynced manifest write as the terminal state.  A SIGKILL
+therefore leaves either a terminal job with its fee settled, or a
+non-terminal job with nothing settled; recovery re-queues (or
+fails-clean and salvage-settles) the latter, and terminal records are
+frozen, so no tenant is ever billed twice for a location.
 """
 
 from __future__ import annotations
@@ -86,9 +86,12 @@ class _TappedCheckpoint(SurveyCheckpoint):
 
     The daemon owns each job's checkpoint (it passes it to the engine
     via ``checkpoint_store=``) precisely so it can observe per-location
-    completions *as they durably land* — the tap fires after the
-    location is persisted, which is also the instant it becomes
-    billable.  The tap is where mid-stream cancellation takes effect:
+    completions *as they land* — the tap fires after the location's
+    journal line is appended, which is also the instant it becomes
+    billable.  Appends survive process death but are not fsynced; the
+    terminal path calls :meth:`~SurveyCheckpoint.sync` once before the
+    bill is settled from the file, which is what makes the settlement
+    durable.  The tap is where mid-stream cancellation takes effect:
     raising :class:`JobCancelled` aborts the engine between locations,
     leaving every already-recorded location checkpointed and billed
     and nothing else.
@@ -178,9 +181,8 @@ class SurveyService:
             key = checkpoint_key(
                 record.spec, self.stack.county(record.spec.county_seed).name
             )
-            record.progress = (
-                len(SurveyCheckpoint(path, key)) if path.exists() else 0
-            )
+            checkpoint = SurveyCheckpoint(path, key)
+            record.progress = len(checkpoint)
             if record.attempts < self.max_attempts:
                 record.transition(JobState.QUEUED)
                 record.resumed = True
@@ -190,6 +192,7 @@ class SurveyService:
                     f"{record.progress} locations checkpointed)"
                 )
             else:
+                checkpoint.sync()
                 fees = canonical_fees_usd(path, key)
                 ledger = self._ledger(record.spec.tenant)
                 ledger.settle(fees, fees)
@@ -470,8 +473,6 @@ class SurveyService:
         self._notify(record, "running")
 
         county = self.stack.county(spec.county_seed)
-        key = checkpoint_key(spec, county.name)
-        path = self.store.checkpoint_path(record.job_id)
 
         def on_record(index: int, payload: dict) -> None:
             record.progress += 1
@@ -479,7 +480,11 @@ class SurveyService:
             if record.cancel_requested:
                 raise JobCancelled(record.job_id)
 
-        checkpoint = _TappedCheckpoint(path, key, on_record)
+        checkpoint = _TappedCheckpoint(
+            self.store.checkpoint_path(record.job_id),
+            checkpoint_key(spec, county.name),
+            on_record,
+        )
         record.progress = len(checkpoint)
         if record.progress:
             record.resumed = True
@@ -528,7 +533,7 @@ class SurveyService:
                     )
         except JobCancelled:
             self._settle_terminal(
-                record, ledger, estimate, JobState.CANCELLED, key, path
+                record, ledger, estimate, JobState.CANCELLED, checkpoint
             )
             record.audit.append(
                 f"cancelled mid-stream after {record.progress} locations"
@@ -539,7 +544,7 @@ class SurveyService:
         except Exception as err:  # noqa: BLE001 - job isolation boundary
             if record.cancel_requested:
                 self._settle_terminal(
-                    record, ledger, estimate, JobState.CANCELLED, key, path
+                    record, ledger, estimate, JobState.CANCELLED, checkpoint
                 )
                 record.audit.append(f"cancelled; engine aborted with: {err}")
                 self.store.flush()
@@ -556,7 +561,7 @@ class SurveyService:
                 self._notify(record, "requeued")
                 return
             self._settle_terminal(
-                record, ledger, estimate, JobState.FAILED, key, path
+                record, ledger, estimate, JobState.FAILED, checkpoint
             )
             record.error = f"{type(err).__name__}: {err}"
             self.store.flush()
@@ -569,7 +574,7 @@ class SurveyService:
         for name, value in sorted(ctx.annotations.items()):
             record.audit.append(f"{name}={value}")
         self._settle_terminal(
-            record, ledger, estimate, JobState.DONE, key, path
+            record, ledger, estimate, JobState.DONE, checkpoint
         )
         self.store.flush()
         self._finish_side_effects(record, tracer, registry, report)
@@ -580,17 +585,18 @@ class SurveyService:
         ledger: TenantLedger,
         estimate: float,
         state: JobState,
-        key: dict,
-        path: Path,
+        checkpoint: SurveyCheckpoint,
     ) -> None:
         """Bind settlement to the terminal transition (one flush later).
 
-        The canonical fee comes from the durable checkpoint, never the
+        The canonical fee comes from the checkpoint on disk, never the
         in-memory report — so however many attempts the job burned and
         whatever the daemon's meter says, each completed location is
-        settled exactly once.
+        settled exactly once.  The checkpoint is fsynced first, so a
+        machine crash after the flush cannot lose a settled location.
         """
-        fees = canonical_fees_usd(path, key)
+        checkpoint.sync()
+        fees = canonical_fees_usd(checkpoint.path, checkpoint.key)
         ledger.settle(estimate, fees)
         self.store.ledger[record.spec.tenant] = ledger.to_dict()
         record.transition(state)

@@ -13,9 +13,11 @@ Per-job survey progress does **not** live here — it rides the
 existing per-location :class:`~repro.resilience.checkpoint.SurveyCheckpoint`
 under ``<state_dir>/checkpoints/``, which is also the billing source
 of truth: :func:`canonical_fees_usd` re-accumulates a job's imagery
-bill from the checkpoint's durable per-location image counts (the
+bill from the checkpoint's per-location image counts (the
 coordinator-merge fee reconstruction), so however many attempts a job
-burned, each completed location is billed exactly once.
+burned, each completed location is billed exactly once.  The daemon
+fsyncs a job's checkpoint (:meth:`SurveyCheckpoint.sync`) before it
+settles from it.
 """
 
 from __future__ import annotations
