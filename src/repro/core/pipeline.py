@@ -729,9 +729,11 @@ class NeighborhoodDecoder:
         Delegates to :func:`~repro.geo.sampling.plan_survey_points`,
         the same planner the shard coordinator uses for multi-county
         frames — one sampling code path, so a coordinated survey's
-        frame is the survey's frame.
+        frame is the survey's frame.  Traced as one ``survey.plan``
+        span under the ambient span (``service.job`` in the daemon).
         """
-        points = plan_survey_points([county], n_locations, seed)
+        with get_tracer().span("survey.plan", n_locations=n_locations) as span:
+            points = plan_survey_points([county], n_locations, seed, span=span)
         return points or None
 
     @staticmethod

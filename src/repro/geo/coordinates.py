@@ -111,6 +111,22 @@ class LatLon:
         )
 
 
+def segment_count(length_m: float, interval_m: float) -> int:
+    """Points a ``length_m`` edge yields at ``interval_m`` (at least 1)."""
+    if interval_m <= 0:
+        raise ValueError(f"interval must be positive: {interval_m}")
+    return 1 if length_m == 0.0 else max(1, int(length_m // interval_m))
+
+
+def segment_point(
+    start: LatLon, end: LatLon, length_m: float, i: int, interval_m: float
+) -> LatLon:
+    """Point ``i`` of the ``start``→``end`` edge, ``length_m`` long."""
+    if length_m == 0.0:
+        return start
+    return start.toward(end, i * interval_m / length_m)
+
+
 def segment_points(
     start: LatLon, end: LatLon, interval_m: float = SEGMENT_INTERVAL_M
 ) -> list[LatLon]:
@@ -121,10 +137,8 @@ def segment_points(
     is the paper's "segment all roadways with an interval of 50 feet"
     operation.
     """
-    if interval_m <= 0:
-        raise ValueError(f"interval must be positive: {interval_m}")
     length = start.distance_m(end)
-    if length == 0.0:
-        return [start]
-    count = max(1, int(length // interval_m))
-    return [start.toward(end, i * interval_m / length) for i in range(count)]
+    return [
+        segment_point(start, end, length, i, interval_m)
+        for i in range(segment_count(length, interval_m))
+    ]

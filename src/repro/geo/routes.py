@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .coordinates import SEGMENT_INTERVAL_M, LatLon, segment_points
+from .coordinates import SEGMENT_INTERVAL_M, LatLon
 from .county import County
-from .roadnet import RoadClass
-from .sampling import CaptureRequest, SamplePoint
+from .roadnet import RoadEdge
+from .sampling import CaptureRequest, SamplePoint, SamplingFrame
 
 
 class NoRouteError(ValueError):
@@ -76,22 +76,11 @@ def route_sample_points(
     interval_m: float = SEGMENT_INTERVAL_M,
 ) -> list[SamplePoint]:
     """50-foot sample points along a route, in travel order."""
-    points = []
-    for a, b in zip(route.nodes, route.nodes[1:]):
-        road_class: RoadClass = graph.edges[a, b]["road_class"]
-        bearing = a.bearing_to(b)
-        for location in segment_points(a, b, interval_m):
-            zone = county.zone_at(location)
-            points.append(
-                SamplePoint(
-                    location=location,
-                    county=county.name,
-                    zone_kind=zone.kind,
-                    road_class=road_class,
-                    road_bearing=bearing,
-                )
-            )
-    return points
+    edges = [
+        RoadEdge(a, b, graph.edges[a, b]["road_class"])
+        for a, b in zip(route.nodes, route.nodes[1:])
+    ]
+    return list(SamplingFrame(county, edges, interval_m))
 
 
 def route_captures(

@@ -7,15 +7,20 @@ Reproduces the paper's data-collection protocol (Section IV-A):
     counties ... We obtained the coordinates for each location and
     request images ... from all four directions."
 
-``build_sampling_frame`` enumerates every 50-foot sample point on a
+``build_sampling_frame`` counts every 50-foot sample point on a
 county's road network; ``select_survey_locations`` draws the random
-subset of locations; each selected location expands into four
-``CaptureRequest`` records (one per cardinal heading).
+subset of locations and builds only those points; each selected
+location expands into four ``CaptureRequest`` records (one per heading).
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import TYPE_CHECKING, overload
 
 import networkx as nx
 import numpy as np
@@ -24,10 +29,14 @@ from .coordinates import (
     CARDINAL_HEADINGS,
     SEGMENT_INTERVAL_M,
     LatLon,
-    segment_points,
+    segment_count,
+    segment_point,
 )
 from .county import County, ZoneKind
-from .roadnet import RoadClass, build_road_network, iter_edges
+from .roadnet import RoadClass, RoadEdge, build_road_network, iter_edges
+
+if TYPE_CHECKING:
+    from ..obs.trace import Span
 
 
 @dataclass(frozen=True)
@@ -53,33 +62,95 @@ class CaptureRequest:
         return self.point.location
 
 
+class SamplingFrame(Sequence[SamplePoint]):
+    """A county's 50-foot sampling frame, counted up front, built on demand.
+
+    Construction walks the road edges once and keeps each edge's length
+    and point count, so ``len()`` is exact without creating a single
+    point.  Indexing builds only the point asked for — the edge's
+    ``segment_point`` plus one ``zone_at`` lookup — with the same
+    arithmetic as :func:`~repro.geo.coordinates.segment_points`, so
+    ``list(frame)`` equals the eagerly segmented frame point for point.
+    Immutable; an empty frame is falsy.
+    """
+
+    __slots__ = ("_county", "_interval_m", "_edges", "_lengths", "_starts")
+
+    def __init__(
+        self,
+        county: County,
+        edges: Iterable[RoadEdge],
+        interval_m: float = SEGMENT_INTERVAL_M,
+    ) -> None:
+        self._county = county
+        self._interval_m = interval_m
+        self._edges = tuple(edges)
+        self._lengths = tuple(edge.length_m for edge in self._edges)
+        counts = [segment_count(length, interval_m) for length in self._lengths]
+        #: ``_starts[k]`` is the frame index of edge ``k``'s first point;
+        #: the last entry is the frame's length.
+        self._starts = tuple(accumulate(counts, initial=0))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if hasattr(self, "_starts"):
+            raise AttributeError("SamplingFrame is immutable")
+        object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    @overload
+    def __getitem__(self, index: int) -> SamplePoint: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[SamplePoint]: ...
+
+    def __getitem__(self, index: int | slice) -> SamplePoint | list[SamplePoint]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"sampling frame index out of range: {index}")
+        edge = bisect_right(self._starts, i) - 1
+        return self._build(edge, i - self._starts[edge])
+
+    def __iter__(self) -> Iterator[SamplePoint]:
+        for edge in range(len(self._edges)):
+            for i in range(self._starts[edge + 1] - self._starts[edge]):
+                yield self._build(edge, i)
+
+    def _build(self, edge_index: int, i: int) -> SamplePoint:
+        edge = self._edges[edge_index]
+        location = segment_point(
+            edge.start, edge.end, self._lengths[edge_index], i, self._interval_m
+        )
+        return SamplePoint(
+            location=location,
+            county=self._county.name,
+            zone_kind=self._county.zone_at(location).kind,
+            road_class=edge.road_class,
+            road_bearing=edge.bearing,
+        )
+
+
 def build_sampling_frame(
     county: County,
     graph: nx.Graph,
     interval_m: float = SEGMENT_INTERVAL_M,
-) -> list[SamplePoint]:
+) -> SamplingFrame:
     """Segment every road edge of ``graph`` at ``interval_m``.
 
-    Returns the full deterministic sampling frame for the county.
+    Returns the full deterministic sampling frame for the county as a
+    lazy :class:`SamplingFrame`: O(edges) to build, one bisection and
+    one zone lookup per point read.
     """
-    frame = []
-    for edge in iter_edges(graph):
-        for location in segment_points(edge.start, edge.end, interval_m):
-            zone = county.zone_at(location)
-            frame.append(
-                SamplePoint(
-                    location=location,
-                    county=county.name,
-                    zone_kind=zone.kind,
-                    road_class=edge.road_class,
-                    road_bearing=edge.bearing,
-                )
-            )
-    return frame
+    return SamplingFrame(county, iter_edges(graph), interval_m)
 
 
 def select_survey_locations(
-    frames: dict[str, list[SamplePoint]],
+    frames: Mapping[str, Sequence[SamplePoint]],
     n_locations: int,
     seed: int = 0,
 ) -> list[SamplePoint]:
@@ -88,25 +159,32 @@ def select_survey_locations(
     Locations are drawn without replacement, proportionally to each
     county's share of the combined sampling frame, mirroring a uniform
     draw over the pooled frame.  Raises ``ValueError`` if the pooled
-    frame is smaller than ``n_locations``.
+    frame is smaller than ``n_locations``.  The pooled frame is never
+    built: each drawn index reads one point from the county it falls in.
     """
-    pooled: list[SamplePoint] = []
-    for county_name in sorted(frames):
-        pooled.extend(frames[county_name])
-    if n_locations > len(pooled):
+    names = sorted(frames)
+    starts = list(accumulate((len(frames[name]) for name in names), initial=0))
+    total = starts[-1]
+    if n_locations > total:
         raise ValueError(
             f"requested {n_locations} locations but the sampling frame "
-            f"only has {len(pooled)} points"
+            f"only has {total} points"
         )
     rng = np.random.default_rng(seed)
-    indices = rng.choice(len(pooled), size=n_locations, replace=False)
-    return [pooled[int(i)] for i in sorted(indices)]
+    indices = rng.choice(total, size=n_locations, replace=False)
+    chosen = []
+    for index in sorted(int(i) for i in indices):
+        county = bisect_right(starts, index) - 1
+        chosen.append(frames[names[county]][index - starts[county]])
+    return chosen
 
 
 def plan_survey_points(
     counties: list[County],
     n_locations: int,
     seed: int = 0,
+    *,
+    span: Span | None = None,
 ) -> list[SamplePoint]:
     """Plan a deterministic survey frame across one or many counties.
 
@@ -120,12 +198,15 @@ def plan_survey_points(
 
     Returns an empty list when every county yields an empty frame;
     raises ``ValueError`` (from :func:`select_survey_locations`) when
-    the pooled frame is smaller than ``n_locations``.
+    the pooled frame is smaller than ``n_locations``.  ``span``, when
+    given, records the pooled frame's size as ``frame_points``.
     """
-    frames: dict[str, list[SamplePoint]] = {}
+    frames: dict[str, Sequence[SamplePoint]] = {}
     for county in counties:
         graph = build_road_network(county, seed=seed + 17)
         frames[county.name] = build_sampling_frame(county, graph)
+    if span is not None:
+        span.set(frame_points=sum(len(frame) for frame in frames.values()))
     if not any(frames.values()):
         return []
     return select_survey_locations(frames, n_locations, seed=seed + 23)
@@ -143,7 +224,7 @@ def expand_to_captures(
     ]
 
 
-def frame_statistics(frame: list[SamplePoint]) -> dict[str, float]:
+def frame_statistics(frame: Sequence[SamplePoint]) -> dict[str, float]:
     """Descriptive statistics of a sampling frame (diagnostics)."""
     if not frame:
         return {"n_points": 0}

@@ -321,6 +321,13 @@ def test_golden_multitenant_session(clients, tmp_path):
                 assert {
                     s.name for s in books["tracer"].spans
                 } >= set(SERVICE_STAGES)
+                # Frame planning is one span under the job's root.
+                spans = books["tracer"].spans
+                (job_span,) = [s for s in spans if s.name == "service.job"]
+                (plan,) = [s for s in spans if s.name == "survey.plan"]
+                assert plan.parent_id == job_span.span_id
+                assert plan.attributes["n_locations"] == spec.n_locations
+                assert plan.attributes["frame_points"] > spec.n_locations
                 key = checkpoint_key(
                     spec, stack.county(spec.county_seed).name
                 )
