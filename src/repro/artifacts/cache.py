@@ -95,7 +95,12 @@ def image_fingerprint(image) -> str:
 
 
 def model_fingerprint(model) -> str:
-    """Content hash of a trained detector: config + raw weight bytes."""
+    """Content hash of a trained detector: config, input size, weights.
+
+    The input size is part of the identity because it decides which
+    pixels the detector is served: the same weights at another render
+    size score a different distribution.
+    """
     hasher = hashlib.sha256()
     config = model.config
     hasher.update(
@@ -107,6 +112,7 @@ def model_fingerprint(model) -> str:
                 config.nms_iou,
                 config.smooth_features,
                 config.context_features,
+                model.input_size,
             )
         ).encode()
     )

@@ -21,6 +21,7 @@ from .frontier import (
     render_frontier_table,
     sweep_frontier,
 )
+from .recipe import build_default_cascade
 from .router import (
     DEFAULT_DEEP_FACTOR,
     DEFAULT_THRESHOLD,
@@ -42,6 +43,7 @@ __all__ = [
     "CascadePoint",
     "CascadeStats",
     "FrontierReport",
+    "build_default_cascade",
     "cascade_calibration_key",
     "fit_cascade_calibration",
     "load_or_fit_calibration",

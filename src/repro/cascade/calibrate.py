@@ -37,12 +37,15 @@ PEAK_BATCH_SIZE = 16
 def extract_peaks(
     detector: NanoDetector, images: Sequence[LabeledImage]
 ) -> np.ndarray:
-    """Per-image per-indicator peak scores, ``(N, C)`` canonical order."""
+    """Per-image per-indicator peak scores, ``(N, C)`` canonical order.
+
+    Renders through :meth:`~repro.detect.model.NanoDetector.render_inputs`,
+    the same path the router serves from.
+    """
     chunks = []
     for start in range(0, len(images), PEAK_BATCH_SIZE):
         batch = images[start : start + PEAK_BATCH_SIZE]
-        pixels = [image.render() for image in batch]
-        scores, _ = detector.predict_cells_batch(pixels)
+        scores, _ = detector.predict_cells_batch(detector.render_inputs(batch))
         chunks.append(NanoDetector.indicator_scores(scores))
     if not chunks:
         return np.zeros((0, len(ALL_INDICATORS)))

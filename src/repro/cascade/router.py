@@ -187,14 +187,14 @@ class CascadeClassifier:
 
         Returns ``(presences, degraded_votes, skipped_votes)`` —
         the same contract as the decoder's ensemble branch.  The
-        detector forward is batched over the whole location.
+        detector forward is batched over the whole location, on frames
+        rendered at the detector's training size.
         """
         if not images:
             return [], 0, 0
         metrics = get_metrics()
-        pixels = [image.render() for image in images]
         scores, _ = self.detector.predict_cells_batch(
-            pixels, precision=self.precision
+            self.detector.render_inputs(images), precision=self.precision
         )
         peaks = NanoDetector.indicator_scores(scores)
         probabilities = self.calibration.probabilities(peaks)

@@ -133,9 +133,9 @@ def _run_survey(args: argparse.Namespace, traced: bool = False) -> int:
     operator can rerun with the same ``--checkpoint`` to resume.
 
     With ``traced`` (the ``trace`` command) the decoder drives the
-    paper's three-model voting ensemble and renders pixels eagerly, so
-    the recorded span tree covers every stage — fetch, render, LLM
-    request, vote, merge — and the run ends with a determinism audit.
+    paper's three-model voting ensemble, so the recorded span tree
+    covers every stage — fetch, LLM request, vote, merge — and the run
+    ends with a determinism audit.
     """
     from .core.classifier import LLMIndicatorClassifier
     from .core.pipeline import NeighborhoodDecoder
@@ -181,8 +181,10 @@ def _run_survey(args: argparse.Namespace, traced: bool = False) -> int:
             )
         }
     elif use_cascade:
+        from .cascade import build_default_cascade
+
         brains = {
-            "cascade": _build_cascade(
+            "cascade": build_default_cascade(
                 clients,
                 threshold=args.cascade_threshold,
                 precision=args.detector_precision,
@@ -198,7 +200,6 @@ def _run_survey(args: argparse.Namespace, traced: bool = False) -> int:
                                  max_delay_s=0.5),
         gsv_breaker=CircuitBreaker(name="gsv", failure_threshold=12,
                                    recovery_time_s=1.0),
-        render_pixels=traced,
         **brains,
     )
     workers = 0 if args.workers == "auto" else args.workers
@@ -363,54 +364,6 @@ def _build_survey_decoder(county, seed: int = 77):
     )
 
 
-def _build_cascade(
-    clients,
-    threshold: float | None = None,
-    artifacts=None,
-    precision: str | None = None,
-):
-    """Assemble the three-tier cascade the CLI ships.
-
-    Trains the nano detector on one synthetic split, fits the margin
-    calibration on a held-out split (both cached when ``artifacts`` is
-    given), and wires the cheapest model as the tier-1 scout in front
-    of the full four-model ensemble.  ``precision`` picks the tier-0
-    inference tier (``--detector-precision``); ``None`` keeps the
-    router's float32 default.
-    """
-    from .cascade import CascadeClassifier, load_or_fit_calibration
-    from .core.classifier import LLMIndicatorClassifier
-    from .core.voting import VotingEnsemble
-    from .detect.train import TrainConfig, train_detector
-    from .gsv.dataset import build_survey_dataset
-    from .llm.paper_targets import GPT_4O_MINI
-
-    train_images = build_survey_dataset(n_images=160, size=256, seed=21)
-    holdout = build_survey_dataset(n_images=120, size=256, seed=33)
-    detector = train_detector(
-        train_images,
-        train_config=TrainConfig(epochs=12, batch_size=16),
-        cache=artifacts,
-    ).model
-    calibration = load_or_fit_calibration(artifacts, detector, holdout)
-    ensemble = VotingEnsemble(
-        classifiers={
-            model_id: LLMIndicatorClassifier(client)
-            for model_id, client in clients.items()
-        }
-    )
-    kwargs: dict = {} if threshold is None else {"threshold": threshold}
-    if precision is not None:
-        kwargs["precision"] = precision
-    return CascadeClassifier(
-        detector=detector,
-        calibration=calibration,
-        scout=LLMIndicatorClassifier(clients[GPT_4O_MINI]),
-        ensemble=ensemble,
-        **kwargs,
-    )
-
-
 def _run_cascade(args: argparse.Namespace) -> int:
     """``repro cascade calibrate`` / ``repro cascade frontier``.
 
@@ -421,6 +374,7 @@ def _run_cascade(args: argparse.Namespace) -> int:
     reproducible JSON payload) to ``--frontier-out`` for CI to upload.
     """
     from .cascade import (
+        build_default_cascade,
         recommend_threshold,
         render_frontier_table,
         sweep_frontier,
@@ -439,13 +393,16 @@ def _run_cascade(args: argparse.Namespace) -> int:
         [image.scene for image in calibration_images],
         model_ids=tuple(ALL_MODEL_IDS),
     )
-    cascade = _build_cascade(
+    cascade = build_default_cascade(
         clients,
-        threshold=args.cascade_threshold,
         artifacts=artifacts,
+        threshold=args.cascade_threshold,
         precision=args.detector_precision,
     )
-    eval_images = build_survey_dataset(n_images=48, size=256, seed=45)
+    # Served-size captures, like the daemon's: tier 0 renders them at
+    # the detector's training size, so the table describes what is
+    # actually served.
+    eval_images = build_survey_dataset(n_images=48, seed=45)
 
     action = args.action or "frontier"
     if action == "calibrate":

@@ -227,11 +227,6 @@ class NeighborhoodDecoder:
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     gsv_breaker: CircuitBreaker | None = None
     clock: Clock = field(default_factory=WallClock)
-    #: Rasterize during the fetch instead of deferring pixels.  The
-    #: survey itself never needs eager pixels (the classifier renders
-    #: on demand), but a traced run sets this so ``gsv.render`` spans
-    #: land inside their ``gsv.fetch`` parents.
-    render_pixels: bool = False
 
     def __post_init__(self) -> None:
         backends = [self.classifier, self.ensemble, self.cascade]
@@ -555,7 +550,7 @@ class NeighborhoodDecoder:
         """The async twin of :meth:`_decode_points`.
 
         Each location is a coroutine pipelined through two gated
-        stages: fetch(+render) behind a semaphore sized to the window,
+        stages: fetch behind a semaphore sized to the window,
         then classify(+vote) behind the AIMD controller's slot.  Both
         stages execute the *unchanged* sync helpers on a capped
         :class:`~repro.parallel.aio.ThreadBridge`, so client APIs and
@@ -1048,7 +1043,7 @@ class NeighborhoodDecoder:
         for offset, capture in enumerate(expand_to_captures([point])):
             outcome = self.retry_policy.execute(
                 lambda capture=capture: self.street_view.fetch_capture(
-                    capture, render=self.render_pixels
+                    capture, render=False
                 ),
                 retryable=(TransientNetworkError,),
                 giveup=(StreetViewError,),

@@ -145,6 +145,13 @@ class NanoDetector:
     b2: np.ndarray | None = None
     feat_mean: np.ndarray | None = None
     feat_std: np.ndarray | None = None
+    #: Pixel size of the images the weights were fitted on.  Inference
+    #: over :class:`~repro.gsv.dataset.LabeledImage` inputs renders at
+    #: this size (:meth:`render_inputs`), so serving sees the training
+    #: distribution; ``None`` (trained from bare tensors, or loaded
+    #: from a payload that predates the field) renders each image at
+    #: its own size.
+    input_size: int | None = None
 
     @property
     def output_dim(self) -> int:
@@ -430,6 +437,16 @@ class NanoDetector:
                 features, precision=precision
             )
 
+    def render_inputs(self, images: Sequence) -> list[np.ndarray]:
+        """Rasterize labeled images at the detector's input size.
+
+        The one tier-0 render path: the cascade router and the margin
+        calibration both feed :meth:`predict_cells_batch` from here, so
+        calibration, the frontier sweep and serving see identical
+        pixels.
+        """
+        return [image.render(size=self.input_size) for image in images]
+
     def predict(
         self,
         image: np.ndarray,
@@ -600,12 +617,13 @@ class NanoDetector:
             "b2": self.b2.tolist(),
             "feat_mean": self.feat_mean.tolist(),
             "feat_std": self.feat_std.tolist(),
+            "input_size": self.input_size,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NanoDetector":
         config = ModelConfig(**payload["config"])
-        model = cls(config=config)
+        model = cls(config=config, input_size=payload.get("input_size"))
         model.w1 = np.asarray(payload["w1"], dtype=np.float64)
         model.b1 = np.asarray(payload["b1"], dtype=np.float64)
         model.w2 = np.asarray(payload["w2"], dtype=np.float64)

@@ -333,13 +333,16 @@ def _weights_key(
     box_targets: np.ndarray,
     model_config: ModelConfig,
     train_config: TrainConfig,
+    input_size: int | None,
 ) -> str:
     """Artifact-cache key for trained weights.
 
-    Keyed on *what the trainer saw* — the tensor bytes plus both
-    configs — so the precomputed-tensor path and the from-images path
-    address the same entry, and any change to data or hyperparameters
-    changes the key.
+    Keyed on *what the trainer saw* — the tensor bytes, both configs
+    and the training images' pixel size — so the precomputed-tensor
+    path and the from-images path address the same entry, and any
+    change to data or hyperparameters changes the key.  The input
+    size keeps an entry written before detectors recorded it from
+    being served at the wrong render size.
     """
     from ..artifacts import fingerprint, tensors_fingerprint
 
@@ -349,6 +352,7 @@ def _weights_key(
             "tensors": tensors_fingerprint(features, obj_targets, box_targets),
             "model_config": repr(model_config),
             "train_config": repr(train_config),
+            "input_size": input_size,
         }
     )
 
@@ -512,6 +516,10 @@ def train_detector(
     is a strict sequential dependence and already BLAS-vectorized).
     ``cache`` persists both per-image tensors and the trained weights;
     a rerun with identical inputs loads the fitted model from disk.
+    The model records the training images' pixel size as its
+    :attr:`~repro.detect.model.NanoDetector.input_size`, so every
+    training image must share one ``size`` (``ValueError`` otherwise);
+    training from ``precomputed`` tensors alone leaves it ``None``.
 
     ``incremental=True`` (requires ``cache`` and ``images``) enables
     delta fine-tuning: if a previous run with the same configs trained
@@ -528,6 +536,12 @@ def train_detector(
         train_config = TrainConfig()
     if not images and precomputed is None:
         raise ValueError("no training images")
+    sizes = {image.size for image in images}
+    if len(sizes) > 1:
+        raise ValueError(
+            f"training images must share one pixel size: {sorted(sizes)}"
+        )
+    input_size = sizes.pop() if sizes else None
 
     if precomputed is not None:
         features, obj_targets, box_targets = precomputed
@@ -550,7 +564,12 @@ def train_detector(
     weights_key = None
     if cache is not None:
         weights_key = _weights_key(
-            features, obj_targets, box_targets, model_config, train_config
+            features,
+            obj_targets,
+            box_targets,
+            model_config,
+            train_config,
+            input_size,
         )
         stored = cache.get_json("models", weights_key)
         if stored is not None:
@@ -595,6 +614,7 @@ def train_detector(
                 candidate = NanoDetector.from_dict(base["model"])
                 if (
                     candidate.config == model_config
+                    and candidate.input_size == input_size
                     and candidate.w1.shape[0] == feature_dim
                 ):
                     model = candidate
@@ -639,7 +659,7 @@ def train_detector(
                         loss_history = list(base.get("loss_history", ()))
 
     if model is None:
-        model = NanoDetector(config=model_config)
+        model = NanoDetector(config=model_config, input_size=input_size)
         model.initialize(feature_dim, rng)
         flat = features.reshape(-1, feature_dim)
         model.set_normalization(flat.mean(axis=0), flat.std(axis=0))

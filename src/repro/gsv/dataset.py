@@ -30,6 +30,7 @@ from ..geo.sampling import (
     expand_to_captures,
     select_survey_locations,
 )
+from ..obs.trace import get_tracer
 from ..scene.model import BoundingBox, Scene
 from ..scene.render import DEFAULT_SIZE, render_scene
 from .api import StreetViewClient
@@ -62,25 +63,29 @@ class LabeledImage:
         return IndicatorPresence(ind for ind, _ in self.annotations)
 
     def render(self, size: int | None = None) -> np.ndarray:
-        """Rasterize the image (lazy; deterministic per scene)."""
+        """Rasterize the image (lazy; deterministic per scene).
+
+        Runs under one ``gsv.render`` span carrying the pixel ``size``
+        it draws at.
+        """
         from ..scene.augment import resize_nearest, rotate_image
 
-        pixels = render_scene(
-            self.scene, size if size is not None else self.size
-        )
-        for op in self.render_ops:
-            if op[0] == "rot":
-                pixels = rotate_image(pixels, op[1])
-            elif op[0] == "crop":
-                _, x0, y0, x1, y1 = op
-                height, width = pixels.shape[:2]
-                window = pixels[
-                    int(y0 * height) : int(y1 * height),
-                    int(x0 * width) : int(x1 * width),
-                ]
-                pixels = resize_nearest(window, height, width)
-            else:
-                raise ValueError(f"unknown render op: {op[0]!r}")
+        size = size if size is not None else self.size
+        with get_tracer().span("gsv.render", size=size):
+            pixels = render_scene(self.scene, size)
+            for op in self.render_ops:
+                if op[0] == "rot":
+                    pixels = rotate_image(pixels, op[1])
+                elif op[0] == "crop":
+                    _, x0, y0, x1, y1 = op
+                    height, width = pixels.shape[:2]
+                    window = pixels[
+                        int(y0 * height) : int(y1 * height),
+                        int(x0 * width) : int(x1 * width),
+                    ]
+                    pixels = resize_nearest(window, height, width)
+                else:
+                    raise ValueError(f"unknown render op: {op[0]!r}")
         return pixels
 
     def count_of(self, indicator: Indicator) -> int:

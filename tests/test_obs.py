@@ -19,8 +19,11 @@ from repro.core import (
     NeighborhoodDecoder,
     VotingEnsemble,
 )
+from repro.cascade import CascadeClassifier, fit_cascade_calibration
+from repro.detect.train import TrainConfig, train_detector
 from repro.geo import make_durham_like
-from repro.gsv import StreetViewClient
+from repro.gsv import StreetViewClient, build_survey_dataset
+from repro.llm.paper_targets import GPT_4O_MINI
 from repro.obs.audit import SURVEY_STAGES, audit_trace, reconcile_survey
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -293,11 +296,10 @@ def street_view():
     )
 
 
-def _single_decoder(street_view, clients, render_pixels=False):
+def _single_decoder(street_view, clients):
     return NeighborhoodDecoder(
         street_view=street_view,
         classifier=LLMIndicatorClassifier(clients["gemini-1.5-pro"]),
-        render_pixels=render_pixels,
     )
 
 
@@ -353,9 +355,7 @@ class TestTracedSurvey:
                 for name in ("gemini-1.5-pro", "claude-3.7", "grok-2")
             }
         )
-        decoder = NeighborhoodDecoder(
-            street_view=street_view, ensemble=ensemble, render_pixels=True
-        )
+        decoder = NeighborhoodDecoder(street_view=street_view, ensemble=ensemble)
         tracer = Tracer(trace_id="audit")
         with use_tracer(tracer), use_metrics(MetricsRegistry()):
             report = decoder.survey(county, n_locations=4, seed=9, workers=2)
@@ -364,7 +364,9 @@ class TestTracedSurvey:
         assert audit_trace(tracer) == []
         names = {span.name for span in tracer.spans}
         assert set(SURVEY_STAGES) <= names
-        assert {"gsv.fetch", "gsv.render"} <= names
+        # The LLM tiers read scenes, not pixels: nothing is rendered.
+        assert "gsv.fetch" in names
+        assert "gsv.render" not in names
         # Every survey.location span hangs off the single survey root.
         (root,) = [
             span
@@ -376,6 +378,40 @@ class TestTracedSurvey:
         ]
         assert len(locations) == 4
         assert all(span.parent_id == root.span_id for span in locations)
+
+    def test_traced_cascade_survey_renders_at_detector_size(
+        self, street_view, clients
+    ):
+        county = make_durham_like(seed=3)
+        images = build_survey_dataset(n_images=16, size=256, seed=91)
+        detector = train_detector(
+            images, train_config=TrainConfig(epochs=2, batch_size=8)
+        ).model
+        cascade = CascadeClassifier(
+            detector=detector,
+            calibration=fit_cascade_calibration(detector, images),
+            scout=LLMIndicatorClassifier(clients[GPT_4O_MINI]),
+            ensemble=VotingEnsemble(
+                {
+                    name: LLMIndicatorClassifier(client)
+                    for name, client in clients.items()
+                }
+            ),
+        )
+        decoder = NeighborhoodDecoder(street_view=street_view, cascade=cascade)
+        tracer = Tracer(trace_id="cascade")
+        with use_tracer(tracer), use_metrics(MetricsRegistry()):
+            report = decoder.survey(county, n_locations=2, seed=9)
+        assert report.coverage == 1.0
+        assert audit_trace(tracer) == []
+        renders = [span for span in tracer.spans if span.name == "gsv.render"]
+        # One tier-0 frame per capture, drawn at the training size
+        # rather than the 640 px capture size.
+        assert len(renders) == 2 * 4
+        assert {span.attributes["size"] for span in renders} == {
+            detector.input_size
+        }
+        assert detector.input_size == 256
 
     def test_audit_trace_reports_structural_problems(self):
         tracer = Tracer(trace_id="broken")
